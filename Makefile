@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke ci
+.PHONY: all build test vet race bench benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke fuzzsmoke execsmoke scalersmoke perfbenchsmoke ci
 
 all: build test
 
@@ -89,4 +89,12 @@ scalesmoke:
 scalersmoke:
 	$(GO) run ./cmd/scalersmoke
 
-ci: build vet test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke
+# perfbenchsmoke vets and tests the benchmark under perfbench/. It is
+# its own Go module, so the ./... targets above never compile it and a
+# cluster API change could break the benchmark unnoticed. The env is
+# perfbench/run.sh's offline build env.
+PERFBENCH_ENV = GOFLAGS= GOWORK=off GOTOOLCHAIN=local GOPROXY=off
+perfbenchsmoke:
+	cd perfbench && env $(PERFBENCH_ENV) $(GO) vet ./... && env $(PERFBENCH_ENV) $(GO) test ./...
+
+ci: build vet test race benchsmoke loadsmoke membersmoke tracesmoke chaossmoke scalesmoke execsmoke fuzzsmoke scalersmoke perfbenchsmoke

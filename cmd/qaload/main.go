@@ -70,8 +70,6 @@ type options struct {
 	noShard     bool
 	fetch       bool
 	driverName  string
-	enc         string
-	frame       bool
 	fetchBatch  int
 }
 
@@ -115,15 +113,13 @@ type loadReport struct {
 	Phases map[string]metrics.HistSummary `json:"phases,omitempty"`
 	// Wire accounting, counted at the socket by the client transport:
 	// everything read from and written to the federation, framing
-	// included. BytesPerQuery divides the total by Completed — the
-	// per-encoding comparison metric (-enc/-frame sweeps read it).
+	// included. BytesPerQuery divides the total by Completed.
 	RPCBytesIn    int64   `json:"rpc_bytes_in"`
 	RPCBytesOut   int64   `json:"rpc_bytes_out"`
 	BytesPerQuery float64 `json:"bytes_per_query,omitempty"`
-	// Fetch-mode (-fetch) extras: the negotiated result encoding and the
-	// rows actually shipped back.
-	Encoding    string `json:"encoding,omitempty"`
-	RowsFetched int64  `json:"rows_fetched,omitempty"`
+	// RowsFetched counts the rows actually shipped back in fetch mode
+	// (-fetch).
+	RowsFetched int64 `json:"rows_fetched,omitempty"`
 
 	// Executor is the storage driver self-hosted nodes ran ("" when the
 	// federation is external and qaload cannot know).
@@ -164,8 +160,6 @@ func main() {
 	flag.DurationVar(&o.bidCache, "bidcache", 0, "winning-bid cache TTL; epoch-stamped ladders admit same-class queries without renegotiating (0 = off)")
 	flag.BoolVar(&o.noShard, "noshard", false, "disable per-class shard probing (fan CFPs to every member regardless of gossiped filters)")
 	flag.BoolVar(&o.fetch, "fetch", false, "ship results back (client.Fetch) instead of execute-only (client.Run)")
-	flag.StringVar(&o.enc, "enc", "compact", "fetch result encoding to advertise: compact | tagged (JSON downgrade path)")
-	flag.BoolVar(&o.frame, "frame", true, "negotiate binary frame streaming for fetches (false: force JSON replies)")
 	flag.IntVar(&o.fetchBatch, "fetch-batch", 0, "max rows per streamed fetch batch to request (0: server default)")
 	flag.StringVar(&o.driverName, "driver", "row", "storage executor for self-hosted nodes: row | vector | mock:row | mock:vector")
 	flag.Parse()
@@ -296,16 +290,6 @@ func run(o *options) (*loadReport, error) {
 		NoShardProbe:   o.noShard,
 		FetchBatchRows: o.fetchBatch,
 	}
-	switch o.enc {
-	case "compact", "":
-	case "tagged":
-		ccfg.FetchEnc = -1
-	default:
-		return nil, fmt.Errorf("unknown -enc %q (want compact or tagged)", o.enc)
-	}
-	if !o.frame {
-		ccfg.FrameV = -1
-	}
 	client, err := cluster.NewClient(ccfg)
 	if err != nil {
 		return nil, err
@@ -331,9 +315,8 @@ func run(o *options) (*loadReport, error) {
 	runOne := func(id int64, workerRng *rand.Rand) {
 		var out cluster.Outcome
 		if o.fetch {
-			// Result-shipping mode: stream the rows back in bounded batches
-			// (or a JSON reply from -frame=false / old nodes), counting them
-			// without retaining anything.
+			// Result-shipping mode: stream the rows back in bounded batches,
+			// counting them without retaining anything.
 			out = client.FetchEach(id, sqls(workerRng), func(*cluster.ColBlock) error { return nil })
 			rowsFetched.Add(int64(out.Rows))
 		} else {
@@ -425,10 +408,6 @@ func run(o *options) (*loadReport, error) {
 		rep.BytesPerQuery = float64(rep.RPCBytesIn+rep.RPCBytesOut) / float64(rep.Completed)
 	}
 	if o.fetch {
-		rep.Encoding = o.enc
-		if o.frame {
-			rep.Encoding = "frame"
-		}
 		rep.RowsFetched = rowsFetched.Load()
 	}
 	if rep.Completed > 0 {
@@ -500,7 +479,7 @@ func printReport(r *loadReport) {
 		fmt.Printf("  wire         %d B in, %d B out (%.0f B/query)\n", r.RPCBytesIn, r.RPCBytesOut, r.BytesPerQuery)
 	}
 	if r.RowsFetched > 0 {
-		fmt.Printf("  fetched      %d rows (%s encoding)\n", r.RowsFetched, r.Encoding)
+		fmt.Printf("  fetched      %d rows\n", r.RowsFetched)
 	}
 	ops := make([]string, 0, len(r.RPC))
 	for op := range r.RPC {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net"
 	"sync"
@@ -64,30 +65,30 @@ func TestRelationsIn(t *testing.T) {
 	}
 }
 
-// scriptedServer is a minimal wire-speaking fake node for interop
+// scriptedServer is a minimal wire-speaking fake node for wire-level
 // tests: it records every request line verbatim and answers from a
-// tiny script. With batchAware false it behaves like a pre-batching
-// build — it ignores the request's batch field entirely and answers
-// the envelope's own query only, which is exactly what encoding/json
-// does to unknown fields on an old struct.
+// tiny script.
 type scriptedServer struct {
 	t  *testing.T
 	ln net.Listener
 
 	mu    sync.Mutex
 	lines [][]byte
+	// overloaded makes negotiate replies the typed envelope refusal
+	// handleWork sends at admission: code overload, its message, and
+	// no proposal or batch array.
+	overloaded bool
 
-	batchAware bool
-	execCode   string // typed code execute replies carry ("" accepts)
+	execCode string // typed code execute replies carry ("" accepts)
 }
 
-func startScriptedServer(t *testing.T, batchAware bool, execCode string) *scriptedServer {
+func startScriptedServer(t *testing.T, execCode string) *scriptedServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &scriptedServer{t: t, ln: ln, batchAware: batchAware, execCode: execCode}
+	s := &scriptedServer{t: t, ln: ln, execCode: execCode}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -112,6 +113,7 @@ func (s *scriptedServer) serve(conn net.Conn) {
 		}
 		s.mu.Lock()
 		s.lines = append(s.lines, bytes.TrimRight(line, "\n"))
+		overloaded := s.overloaded
 		s.mu.Unlock()
 		var req request
 		if err := json.Unmarshal(line, &req); err != nil {
@@ -120,14 +122,17 @@ func (s *scriptedServer) serve(conn net.Conn) {
 		rep := reply{ID: req.ID, NodeID: "scripted"}
 		switch req.Op {
 		case "negotiate":
+			if overloaded {
+				rep.Code = CodeOverload
+				rep.Err = msgOverloaded
+				break
+			}
 			rep.Negotiate = &negotiateReply{Feasible: true, Offer: true, EstimateMs: 5}
-			if s.batchAware {
-				for _, bq := range req.Batch {
-					rep.Batch = append(rep.Batch, batchProposal{
-						QueryID:   bq.QueryID,
-						Negotiate: &negotiateReply{Feasible: true, Offer: true, EstimateMs: 5},
-					})
-				}
+			for _, bq := range req.Batch {
+				rep.Batch = append(rep.Batch, batchProposal{
+					QueryID:   bq.QueryID,
+					Negotiate: &negotiateReply{Feasible: true, Offer: true, EstimateMs: 5},
+				})
 			}
 		case "execute":
 			if s.execCode != "" {
@@ -145,6 +150,14 @@ func (s *scriptedServer) serve(conn net.Conn) {
 	}
 }
 
+// setOverloaded switches negotiate replies between the overload
+// refusal and proposals.
+func (s *scriptedServer) setOverloaded(on bool) {
+	s.mu.Lock()
+	s.overloaded = on
+	s.mu.Unlock()
+}
+
 // requestLines snapshots the recorded raw request lines.
 func (s *scriptedServer) requestLines() [][]byte {
 	s.mu.Lock()
@@ -160,7 +173,7 @@ func (s *scriptedServer) requestLines() [][]byte {
 // unbatched client sends for the same query.
 func TestSingleQueryWindowIsByteIdentical(t *testing.T) {
 	sql := "SELECT a FROM t1 WHERE a > 7"
-	srv := startScriptedServer(t, false, "")
+	srv := startScriptedServer(t, "")
 	legacy, err := NewClient(ClientConfig{
 		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, Transport: TransportFresh,
 	})
@@ -189,20 +202,24 @@ func TestSingleQueryWindowIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestNewClientOldServerDegrades proves a coalesced window against a
-// pre-batching node falls back to per-query negotiation: the riders
-// still get proposals, the node is remembered as batch-unaware, and
-// later windows never offer it a batch again.
-func TestNewClientOldServerDegrades(t *testing.T) {
-	srv := startScriptedServer(t, false, "")
+// TestBatchedOverloadRefusesEveryRider replays the admission refusal
+// handleWork gives a batched CFP — a typed overload envelope with no
+// batch array — and checks every query of the window gets that
+// overload from the node, and that the refusal changes nothing about
+// how the node is asked later: every window costs one negotiate RPC.
+func TestBatchedOverloadRefusesEveryRider(t *testing.T) {
+	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, Transport: TransportFresh,
-		BatchWindow: 200 * time.Millisecond, BatchLimit: 2,
+		// The window seals as soon as its second query arrives; the
+		// long timer only guarantees both land in the same window.
+		BatchWindow: 10 * time.Second, BatchLimit: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := func(sqlA, sqlB string) {
+	defer c.Close()
+	window := func(sqlA, sqlB string) []proposals {
 		t.Helper()
 		var wg sync.WaitGroup
 		results := make([]proposals, 2)
@@ -213,44 +230,40 @@ func TestNewClientOldServerDegrades(t *testing.T) {
 				defer wg.Done()
 				results[i], _, errs[i] = c.batches.negotiate(int64(i), sql, classKey(sql), nil, time.Time{})
 			}(i, sql)
-			time.Sleep(20 * time.Millisecond) // second call rides the first's window
 		}
 		wg.Wait()
-		for i := range results {
-			if errs[i] != nil {
-				t.Fatalf("window query %d: %v", i, errs[i])
-			}
-			if len(results[i].ranked) != 1 {
-				t.Fatalf("window query %d got %d candidates, want 1", i, len(results[i].ranked))
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("window query %d: %v", i, err)
 			}
 		}
+		return results
 	}
-	window("SELECT a FROM t1 WHERE a > 1", "SELECT a FROM t1 WHERE a > 2")
-	first := srv.requestLines()
-	// One batched CFP (ignored by the old server), then the rider's
-	// individual renegotiation.
-	if len(first) != 2 {
-		t.Fatalf("first window sent %d requests, want 2 (batched + rider fallback): %s", len(first), first)
-	}
-	if !bytes.Contains(first[0], []byte(`"batch"`)) {
-		t.Errorf("first request carried no batch field: %s", first[0])
-	}
-	if bytes.Contains(first[1], []byte(`"batch"`)) {
-		t.Errorf("rider fallback still batched: %s", first[1])
-	}
-	ns := c.lookup(srv.ln.Addr().String())
-	ns.mu.Lock()
-	noBatch := ns.noBatch
-	ns.mu.Unlock()
-	if !noBatch {
-		t.Fatal("old server not remembered as batch-unaware")
-	}
-	// The next window must go per-query from the start.
-	window("SELECT a FROM t1 WHERE a > 3", "SELECT a FROM t1 WHERE a > 4")
-	for _, line := range srv.requestLines()[2:] {
-		if bytes.Contains(line, []byte(`"batch"`)) {
-			t.Errorf("batch offered to a known batch-unaware node: %s", line)
+
+	srv.setOverloaded(true)
+	for i, pr := range window("SELECT a FROM t1 WHERE a > 1", "SELECT a FROM t1 WHERE a > 2") {
+		if len(pr.ranked) != 0 || !errors.Is(pr.refusalError(), ErrOverloaded) {
+			t.Errorf("overloaded window query %d: %d candidates, refusal %v; want none and ErrOverloaded",
+				i, len(pr.ranked), pr.refusalError())
 		}
+	}
+	if got := c.RPCCounts()["negotiate"]; got != 1 {
+		t.Errorf("overloaded window cost %d negotiate RPCs, want 1", got)
+	}
+
+	srv.setOverloaded(false)
+	before := c.RPCCounts()["negotiate"]
+	for i, pr := range window("SELECT a FROM t1 WHERE a > 3", "SELECT a FROM t1 WHERE a > 4") {
+		if len(pr.ranked) != 1 {
+			t.Errorf("window query %d got %d candidates after the overload cleared, want 1", i, len(pr.ranked))
+		}
+	}
+	if got := c.RPCCounts()["negotiate"] - before; got != 1 {
+		t.Errorf("window after an overload cost %d negotiate RPCs, want 1", got)
+	}
+	lines := srv.requestLines()
+	if last := lines[len(lines)-1]; !bytes.Contains(last, []byte(`"batch"`)) {
+		t.Errorf("window after an overload was not batched: %s", last)
 	}
 }
 
@@ -394,7 +407,7 @@ func TestBidCacheTTLExpires(t *testing.T) {
 func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 	for _, code := range []string{CodeOverload, CodeExpired, CodeDraining} {
 		t.Run(code, func(t *testing.T) {
-			srv := startScriptedServer(t, true, code)
+			srv := startScriptedServer(t, code)
 			c, err := NewClient(ClientConfig{
 				Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy,
 				Transport: TransportFresh, BidCacheTTL: time.Minute,
@@ -429,7 +442,7 @@ func TestBidCacheTypedRefusalsInvalidate(t *testing.T) {
 // end: with a valid cached ladder, a follow-up query of the class costs
 // zero negotiate RPCs.
 func TestBidCacheHitSkipsNegotiate(t *testing.T) {
-	srv := startScriptedServer(t, true, "")
+	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy,
 		Transport: TransportFresh, BidCacheTTL: time.Minute,
@@ -464,7 +477,7 @@ func TestBidCacheHitSkipsNegotiate(t *testing.T) {
 // wire: a window of three same-class queries against a batch-aware
 // node costs one negotiate RPC, not three.
 func TestBatchedWindowSharesOneRPC(t *testing.T) {
-	srv := startScriptedServer(t, true, "")
+	srv := startScriptedServer(t, "")
 	c, err := NewClient(ClientConfig{
 		Addrs: []string{srv.ln.Addr().String()}, Mechanism: MechGreedy, Transport: TransportFresh,
 		BatchWindow: 300 * time.Millisecond, BatchLimit: 3,

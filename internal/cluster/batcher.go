@@ -13,12 +13,8 @@ import (
 // window and leads it; queries of the class arriving within BatchWindow
 // ride along; the sealed window fans out ONE RPC per probed node (the
 // negotiate request's additive batch field) and every rider gets its
-// own ranked proposal ladder back. Nodes that predate the batch field
-// answer the lead query only — the window detects that (no batch array
-// in the reply), marks the node, and renegotiates the riders against it
-// individually, so mixed fleets degrade to exactly the old wire
-// behavior. A window of one omits the batch field entirely and is
-// byte-identical to an unbatched negotiate.
+// own ranked proposal ladder back. A window of one omits the batch
+// field entirely and is byte-identical to an unbatched negotiate.
 type negotiator struct {
 	c       *Client
 	mu      sync.Mutex
@@ -138,17 +134,9 @@ func (g *negotiator) fanout(items []*batchItem) {
 	}
 }
 
-// askNode sends one node its share of the window: the batched CFP, or
-// per-query CFPs when the node is known to predate batching.
+// askNode sends one node its share of the window as one batched CFP.
 func (g *negotiator) askNode(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi int) {
 	c := g.c
-	ns.mu.Lock()
-	noBatch := ns.noBatch
-	ns.mu.Unlock()
-	if noBatch && len(items) > 1 {
-		g.askPerQuery(items, ns, grid, mi, 0)
-		return
-	}
 	lead := items[0]
 	req := &request{
 		Op: "negotiate", SQL: lead.sql, Mechanism: c.cfg.Mechanism, Trace: lead.tc,
@@ -172,22 +160,15 @@ func (g *negotiator) askNode(items []*batchItem, ns *nodeState, grid [][]negOutc
 	if len(items) == 1 {
 		return
 	}
-	if rep.Code == CodeDraining {
-		// The whole node is going away (classify already tripped its
-		// breaker and pruned it); every rider sees the same refusal.
+	switch rep.Code {
+	case CodeDraining, CodeOverload:
+		// The node refused the whole CFP at the envelope — it is going
+		// away (classify already tripped its breaker and pruned it), or
+		// its admission gate is full — and answered no batch array.
+		// Every rider gets the same typed refusal from this node.
 		for qi := 1; qi < len(grid); qi++ {
-			grid[qi][mi] = negOutcome{err: errDraining}
+			grid[qi][mi] = lead0
 		}
-		return
-	}
-	if rep.Batch == nil {
-		// An old node: it ignored the batch field and answered the lead
-		// query only. Remember that, and give the riders the individual
-		// CFPs they would have sent pre-batching.
-		ns.mu.Lock()
-		ns.noBatch = true
-		ns.mu.Unlock()
-		g.askPerQuery(items, ns, grid, mi, 1)
 		return
 	}
 	for j := range items[1:] {
@@ -198,25 +179,5 @@ func (g *negotiator) askNode(items []*batchItem, ns *nodeState, grid [][]negOutc
 		}
 		bp := rep.Batch[j]
 		grid[qi][mi] = c.classifyNegotiate(ns, bp.Negotiate, bp.Code, bp.Err)
-	}
-}
-
-// askPerQuery negotiates items[from:] with one node individually — the
-// degradation path for nodes without batch support.
-func (g *negotiator) askPerQuery(items []*batchItem, ns *nodeState, grid [][]negOutcome, mi, from int) {
-	c := g.c
-	for qi := from; qi < len(items); qi++ {
-		it := items[qi]
-		var rep reply
-		err := c.rpcOn(ns, &request{
-			Op: "negotiate", SQL: it.sql, Mechanism: c.cfg.Mechanism, Trace: it.tc,
-			DeadlineMs: remainingMs(it.deadline),
-		}, &rep, c.cfg.Timeout)
-		if err != nil {
-			ns.breaker.failure()
-			grid[qi][mi] = negOutcome{err: err}
-			continue
-		}
-		grid[qi][mi] = c.classifyNegotiate(ns, rep.Negotiate, rep.Code, rep.Err)
 	}
 }

@@ -139,17 +139,6 @@ type ClientConfig struct {
 	// static views that never refreshed) are always probed, so the
 	// default is safe in mixed fleets.
 	NoShardProbe bool
-	// FrameV selects the binary fetch-frame version advertised on fetch
-	// requests: 0 (the default) advertises the newest this build speaks
-	// (frameV1), -1 disables frames so fetch replies stay JSON (the
-	// pre-frame wire, for rollback and benchmarks). After validation the
-	// field holds the wire value.
-	FrameV int
-	// FetchEnc selects the JSON fetch-row encoding advertised: 0 (the
-	// default) the newest (encCompact), -1 the v0 tagged encoding.
-	// Frames bypass it; it governs JSON fetch replies (old servers, or
-	// FrameV -1). After validation the field holds the wire value.
-	FetchEnc int
 	// FetchBatchRows asks servers to bound streamed fetch batches to
 	// this many rows (servers clamp to their own FetchBatchRows config).
 	// Zero accepts the server default.
@@ -233,18 +222,6 @@ func (c *ClientConfig) validate() error {
 	if c.BidCacheTTL < 0 {
 		return fmt.Errorf("cluster: BidCacheTTL %v is negative", c.BidCacheTTL)
 	}
-	switch {
-	case c.FrameV == 0 || c.FrameV > frameV1:
-		c.FrameV = frameV1
-	case c.FrameV < 0:
-		c.FrameV = 0 // frames disabled: the field stays off the wire
-	}
-	switch {
-	case c.FetchEnc == 0 || c.FetchEnc > encCompact:
-		c.FetchEnc = encCompact
-	case c.FetchEnc < 0:
-		c.FetchEnc = encTagged
-	}
 	if c.FetchBatchRows < 0 {
 		return fmt.Errorf("cluster: FetchBatchRows %d is negative", c.FetchBatchRows)
 	}
@@ -288,10 +265,6 @@ type nodeState struct {
 	// filterEnc the advertised encoding it was parsed from.
 	filter    *catalog.RelationFilter
 	filterEnc string
-	// noBatch records that this node answered a batched CFP without a
-	// batch reply: it predates the negotiate batch field, so coalesced
-	// windows stop offering it batches and negotiate per query instead.
-	noBatch bool
 
 	// transport is the two-lane pooled transport (nil under
 	// TransportFresh). Guarded by mu because a member can move to a
@@ -1469,54 +1442,18 @@ func (c *Client) TraceSpans(traceID int64) []trace.Span {
 
 // fetchOn dispatches a fetch (execute + result shipping) to the chosen
 // node and accumulates the whole result. Same attempt semantics as
-// executeOn; the rows arrive as a binary frame stream when the server
-// speaks frames and as one JSON reply otherwise, and either way the
-// returned envelope carries them pre-decoded (fetchReply.rows).
-func (c *Client) fetchOn(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time) (*fetchReply, attemptKind, error) {
+// executeOn; a lost supply race returns a nil result with attemptOK.
+func (c *Client) fetchOn(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time) (*sqldb.Result, attemptKind, error) {
 	var rows []sqldb.Row
-	sink := fetchSink{
-		block: func(blk *ColBlock) error {
-			var err error
-			rows, err = blk.AppendRows(rows)
-			return err
-		},
-		rows: func(_ []string, rs []sqldb.Row) error {
-			rows = append(rows, rs...)
-			return nil
-		},
+	fr, _, kind, err := c.fetchAttempt(ns, queryID, sql, tc, deadline, 0, func(blk *ColBlock) error {
+		var err error
+		rows, err = blk.AppendRows(rows)
+		return err
+	})
+	if err != nil || !fr.Accepted {
+		return nil, kind, err
 	}
-	fr, _, kind, err := c.fetchAttempt(ns, queryID, sql, tc, deadline, 0, sink)
-	if fr != nil {
-		fr.streamed = true
-		fr.decoded = rows
-	}
-	return fr, kind, err
-}
-
-// fetchBlocksOn is fetchOn's block-native sibling: one fetch attempt
-// against the chosen node that delivers the result to onBlock batch by
-// batch, never materializing rows. Streamed frames hand their decoded
-// ColBlocks straight through; a JSON downgrade is bridged through one
-// reusable block (FillFromRows), so the caller sees a single columnar
-// interface regardless of the server's generation. The block's buffers
-// are reused between calls — onBlock must copy out anything retained.
-func (c *Client) fetchBlocksOn(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, onBlock func(*ColBlock) error) (*fetchReply, attemptKind, error) {
-	var bridge ColBlock
-	sink := fetchSink{
-		block: onBlock,
-		rows: func(columns []string, rs []sqldb.Row) error {
-			bridge.FillFromRows(columns, rs)
-			if bridge.Rows == 0 {
-				return nil
-			}
-			return onBlock(&bridge)
-		},
-	}
-	fr, _, kind, err := c.fetchAttempt(ns, queryID, sql, tc, deadline, 0, sink)
-	if fr != nil {
-		fr.streamed = true
-	}
-	return fr, kind, err
+	return &sqldb.Result{Columns: fr.Columns, Rows: rows}, kind, nil
 }
 
 // streamRPC is rpcOn's streamed-fetch sibling: the exchange ends either
@@ -1550,15 +1487,14 @@ func (c *Client) streamRPC(ns *nodeState, req *request, rep *reply, timeout time
 }
 
 // fetchAttempt runs one fetch attempt against a candidate, delivering
-// the result through sink however it arrives: streamed batch frames
-// (sink.block, reusable ColBlocks) from a frame-speaking server, or a
-// JSON reply decoded whole (sink.rows) from everyone older. skip drops
-// that many leading rows before delivery — the resume path after a
-// partial stream, where the server's dedup window replays the identical
-// result. delivered counts rows handed to the sink this attempt; on
+// the streamed result to sink batch by batch as one reusable ColBlock
+// (its buffers are overwritten between calls — sink copies out anything
+// it retains). skip drops that many leading rows before delivery — the
+// resume path after a partial stream, where the server's dedup window
+// replays the identical result. delivered counts rows handed to the sink this attempt; on
 // attemptLost it may be nonzero (the stream died mid-result) and the
 // caller decides between a same-node resume and a discard-and-restart.
-func (c *Client) fetchAttempt(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, skip int64, sink fetchSink) (fr *fetchReply, delivered int64, kind attemptKind, err error) {
+func (c *Client) fetchAttempt(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, skip int64, sink func(*ColBlock) error) (fr *fetchReply, delivered int64, kind attemptKind, err error) {
 	var sp *trace.Active
 	if tc != nil {
 		sp = c.startSpan(tc.ID, tc.Span, "fetch")
@@ -1568,62 +1504,48 @@ func (c *Client) fetchAttempt(ns *nodeState, queryID int64, sql string, tc *trac
 	}
 	req := &request{
 		Op: "fetch", SQL: sql, QueryID: queryID, Mechanism: c.cfg.Mechanism,
-		Enc: c.cfg.FetchEnc, Frame: c.cfg.FrameV, FetchBatch: c.cfg.FetchBatchRows,
-		Trace: tc, DeadlineMs: remainingMs(deadline), RunID: c.cfg.RunID,
+		FetchBatch: c.cfg.FetchBatchRows, Trace: tc,
+		DeadlineMs: remainingMs(deadline), RunID: c.cfg.RunID,
 	}
 	var rep reply
-	if c.cfg.FrameV >= frameV1 {
-		fs := &fetchStream{sink: sink, skip: skip}
-		jsonReply, serr := c.streamRPC(ns, req, &rep, c.cfg.execTimeout(), fs.onFrame)
-		if serr != nil {
-			switch {
-			case errors.Is(serr, ErrTooLarge):
-				return nil, fs.delivered, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			case errors.Is(serr, errStreamAbort):
-				// Our own sink refused the data; the node and transport
-				// are fine.
-				ns.breaker.success()
-				return nil, fs.delivered, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			case errors.Is(serr, errNotSent):
-				ns.breaker.failure()
-				return nil, 0, attemptNotSent, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			default:
-				ns.breaker.failure()
-				return nil, fs.delivered, attemptLost, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
-			}
-		}
-		if !jsonReply {
-			// The stream completed through its end frame.
-			switch fs.end.errMsg {
-			case "":
-				ns.breaker.success()
-				return fs.envelope(), fs.delivered, attemptOK, nil
-			case msgNodeStopping:
-				// The stream was truncated by a shutdown: the delivered
-				// prefix is incomplete, classified exactly like a JSON
-				// node-stopping refusal.
-				ns.breaker.trip()
-				return nil, fs.delivered, attemptRefused, fmt.Errorf("cluster: %s: %s", ns.label(), msgNodeStopping)
-			default:
-				return nil, fs.delivered, attemptFatal, errors.New(fs.end.errMsg)
-			}
-		}
-		// JSON downgrade: classify the envelope below, like any non-frame
-		// exchange. The server never mixes frames and a JSON reply for
-		// one request, so nothing was delivered yet.
-	} else {
-		if err := c.rpcOn(ns, req, &rep, c.cfg.execTimeout()); err != nil {
-			if errors.Is(err, ErrTooLarge) {
-				return nil, 0, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), err)
-			}
+	fs := &fetchStream{sink: sink, skip: skip}
+	jsonReply, serr := c.streamRPC(ns, req, &rep, c.cfg.execTimeout(), fs.onFrame)
+	if serr != nil {
+		switch {
+		case errors.Is(serr, ErrTooLarge):
+			return nil, fs.delivered, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
+		case errors.Is(serr, errStreamAbort):
+			// Our own sink refused the data; the node and transport
+			// are fine.
+			ns.breaker.success()
+			return nil, fs.delivered, attemptFatal, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
+		case errors.Is(serr, errNotSent):
 			ns.breaker.failure()
-			kind := attemptLost
-			if errors.Is(err, errNotSent) {
-				kind = attemptNotSent
-			}
-			return nil, 0, kind, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), err)
+			return nil, 0, attemptNotSent, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
+		default:
+			ns.breaker.failure()
+			return nil, fs.delivered, attemptLost, fmt.Errorf("cluster: fetch on %s: %w", ns.label(), serr)
 		}
 	}
+	if !jsonReply {
+		// The stream completed through its end frame.
+		switch fs.end.errMsg {
+		case "":
+			ns.breaker.success()
+			return fs.envelope(), fs.delivered, attemptOK, nil
+		case msgNodeStopping:
+			// The stream was truncated by a shutdown: the delivered
+			// prefix is incomplete, classified exactly like a JSON
+			// node-stopping refusal.
+			ns.breaker.trip()
+			return nil, fs.delivered, attemptRefused, fmt.Errorf("cluster: %s: %s", ns.label(), msgNodeStopping)
+		default:
+			return nil, fs.delivered, attemptFatal, errors.New(fs.end.errMsg)
+		}
+	}
+	// A JSON reply: a refusal, a supply race, or an error. The server
+	// never mixes frames and a JSON reply for one request, so nothing
+	// was delivered.
 	switch rep.Code {
 	case CodeDraining:
 		ns.breaker.trip()
@@ -1636,8 +1558,7 @@ func (c *Client) fetchAttempt(ns *nodeState, queryID int64, sql string, tc *trac
 		ns.breaker.success()
 		return nil, 0, attemptRefused, fmt.Errorf("cluster: %s: %w", ns.label(), ErrExpired)
 	case CodeTooLarge:
-		// The result only fits on the frame lane and this exchange was
-		// JSON: terminal for the query, healthy node.
+		// The node answered — healthy — but this message can never fit.
 		ns.breaker.success()
 		return nil, 0, attemptFatal, fmt.Errorf("cluster: %s: %w", ns.label(), ErrTooLarge)
 	}
@@ -1655,53 +1576,25 @@ func (c *Client) fetchAttempt(ns *nodeState, queryID int64, sql string, tc *trac
 		return nil, 0, attemptFatal, errors.New(rep.Fetch.Err)
 	}
 	ns.breaker.success()
-	if !rep.Fetch.Accepted {
-		// Supply race: no rows shipped; the caller renegotiates.
-		return &fetchReply{streamed: true}, 0, attemptOK, nil
+	if rep.Fetch.Accepted {
+		// Accepted results only ever stream as frames.
+		return nil, 0, attemptFatal, errors.New("cluster: malformed fetch reply: accepted result in JSON")
 	}
-	rows, derr := rep.Fetch.rows()
-	if derr != nil {
-		return nil, 0, attemptFatal, derr
-	}
-	if skip > 0 {
-		if skip >= int64(len(rows)) {
-			rows = nil
-		} else {
-			rows = rows[skip:]
-		}
-	}
-	if len(rows) > 0 {
-		if serr := sink.rows(rep.Fetch.Columns, rows); serr != nil {
-			return nil, 0, attemptFatal, fmt.Errorf("%w: %v", errStreamAbort, serr)
-		}
-	}
-	fr = &fetchReply{
-		Accepted: true,
-		Columns:  rep.Fetch.Columns,
-		ExecMs:   rep.Fetch.ExecMs,
-		streamed: true,
-	}
-	return fr, int64(len(rows)), attemptOK, nil
+	// Supply race: no rows shipped; the caller renegotiates.
+	return &fetchReply{}, 0, attemptOK, nil
 }
 
 // Fetch runs one query through the market like Run, but ships the
 // result back to the caller: negotiate with the federation, fetch from
-// the best offer through the failover ladder, and accumulate the rows
-// (streamed binary frames from new nodes, one JSON reply from old ones
-// — the caller cannot tell which). For results too large to hold in
-// memory, use FetchEach.
+// the best offer through the failover ladder, and accumulate the
+// streamed rows. For results too large to hold in memory, use
+// FetchEach.
 func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
 	res := &sqldb.Result{}
-	sink := fetchSink{
-		block: func(blk *ColBlock) error {
-			var err error
-			res.Rows, err = blk.AppendRows(res.Rows)
-			return err
-		},
-		rows: func(_ []string, rs []sqldb.Row) error {
-			res.Rows = append(res.Rows, rs...)
-			return nil
-		},
+	sink := func(blk *ColBlock) error {
+		var err error
+		res.Rows, err = blk.AppendRows(res.Rows)
+		return err
 	}
 	// Accumulate mode owns the buffer, so a stream lost mid-result can
 	// simply be discarded and refetched anywhere.
@@ -1716,8 +1609,8 @@ func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
 }
 
 // FetchEach runs one query through the market and streams its result to
-// fn in bounded batches: against a frame-speaking node the whole result
-// is never resident on either side — memory stays O(FetchBatchRows).
+// fn in bounded batches: the whole result is never resident on either
+// side — memory stays O(FetchBatchRows).
 // The ColBlock's buffers are reused between calls; fn must copy out
 // anything it retains. A non-nil error from fn aborts the fetch and
 // surfaces in the outcome.
@@ -1728,20 +1621,7 @@ func (c *Client) Fetch(queryID int64, sql string) (*sqldb.Result, Outcome) {
 // replays the identical result — and skipping the delivered prefix. If
 // that node stays unreachable the fetch fails rather than re-deliver.
 func (c *Client) FetchEach(queryID int64, sql string, fn func(*ColBlock) error) Outcome {
-	var bridge ColBlock
-	sink := fetchSink{
-		block: fn,
-		rows: func(columns []string, rs []sqldb.Row) error {
-			// JSON downgrade: the old node sent the result whole; present
-			// it through the same batch interface.
-			bridge.FillFromRows(columns, rs)
-			if bridge.Rows == 0 {
-				return nil
-			}
-			return fn(&bridge)
-		},
-	}
-	out, _ := c.fetchLoop(queryID, sql, sink, nil)
+	out, _ := c.fetchLoop(queryID, sql, fn, nil)
 	return out
 }
 
@@ -1757,7 +1637,7 @@ func (c *Client) FetchEach(queryID int64, sql string, fn func(*ColBlock) error) 
 // escaped to the caller, so after partial delivery only the same node's
 // dedup replay (skip=delivered) may continue the stream; resume
 // retransmits up to ExecRetries, then the fetch is terminal.
-func (c *Client) fetchLoop(queryID int64, sql string, sink fetchSink, reset func()) (Outcome, []string) {
+func (c *Client) fetchLoop(queryID int64, sql string, sink func(*ColBlock) error, reset func()) (Outcome, []string) {
 	start := time.Now()
 	var deadline time.Time
 	if c.cfg.QueryTimeout > 0 {
@@ -1917,7 +1797,7 @@ func (c *Client) fetchLoop(queryID int64, sql string, sink fetchSink, reset func
 // to ExecRetries retransmits, like execAttempt's outcome-unknown loop;
 // if none completes the stream, the fetch is terminal — failing over
 // would re-deliver rows the caller already consumed.
-func (c *Client) fetchResume(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, delivered *int64, sink fetchSink, noteRetry func() bool) (*fetchReply, attemptKind, error) {
+func (c *Client) fetchResume(ns *nodeState, queryID int64, sql string, tc *traceCtx, deadline time.Time, delivered *int64, sink func(*ColBlock) error, noteRetry func() bool) (*fetchReply, attemptKind, error) {
 	var (
 		fr   *fetchReply
 		kind attemptKind

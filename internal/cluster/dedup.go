@@ -10,9 +10,8 @@ import (
 // dedupOutcome is one cached execute/fetch result: the executeReply,
 // the fetchReply when the op shipped rows, and the envelope code the
 // original reply carried. For fetches the raw result is cached too, so
-// a retransmit is re-encoded under its *own* request's negotiation
-// (JSON vs frames, batch size) — which also makes the frame stream a
-// replay of identical rows, letting a client resume a partial stream
+// a retransmit is re-streamed under its *own* request's batch size —
+// a replay of identical rows, letting a client resume a partial stream
 // by skipping the rows it already delivered.
 type dedupOutcome struct {
 	exec   executeReply

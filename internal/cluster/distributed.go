@@ -80,15 +80,11 @@ func (d *Distributor) Run(queryID int64, sql string) (DistOutcome, error) {
 		if d.afterNegotiate != nil {
 			d.afterNegotiate(node.nodeID(), sql)
 		}
-		fr, _, ferr := d.client.fetchOn(node, queryID, sql, tc, deadline)
-		if ferr == nil && fr.Accepted {
-			rows, derr := fr.rows()
-			if derr != nil {
-				return DistOutcome{}, derr
-			}
-			out.Result = &sqldb.Result{Columns: fr.Columns, Rows: rows}
+		res, _, ferr := d.client.fetchOn(node, queryID, sql, tc, deadline)
+		if ferr == nil && res != nil {
+			out.Result = res
 			out.Subqueries = 1
-			out.FragmentRows = len(rows)
+			out.FragmentRows = len(res.Rows)
 			out.PerNode[node.nodeID()]++
 			out.TotalMs = msSince(start)
 			return out, nil
@@ -164,7 +160,7 @@ func (d *Distributor) allocateFetch(queryID int64, sql string, tc *traceCtx, dea
 				d.afterNegotiate(node.nodeID(), sql)
 			}
 			loader.reset()
-			fr, kind, err := d.client.fetchBlocksOn(node, queryID, sql, tc, deadline, loader.add)
+			fr, _, kind, err := d.client.fetchAttempt(node, queryID, sql, tc, deadline, 0, loader.add)
 			switch kind {
 			case attemptOK:
 				if !fr.Accepted {
@@ -323,9 +319,9 @@ func (l *fragmentLoader) reset() {
 	l.ins.Reset()
 }
 
-// add consumes one block of the fragment stream. It is handed to
-// fetchBlocksOn, so the block's buffers are only valid for the call —
-// everything retained is copied into the loader's builder.
+// add consumes one block of the fragment stream. It is fetchAttempt's
+// sink, so the block's buffers are only valid for the call — everything
+// retained is copied into the loader's builder.
 func (l *fragmentLoader) add(blk *ColBlock) error {
 	if len(l.columns) == 0 {
 		l.columns = append(l.columns, blk.Columns...)

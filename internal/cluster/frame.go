@@ -13,24 +13,19 @@ import (
 	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
-// Binary fetch framing (frameV1). The newline-delimited JSON lane stays
-// the protocol's request and control plane — requests are small and the
-// additive-field negotiation (enc/trace/deadline_ms/batch/frame) lives
-// there — but a successful fetch result may come back as a sequence of
-// length-prefixed little-endian binary frames instead of one JSON
-// message. A client advertises the newest frame version it decodes in
-// the request's "frame" field; a server that speaks it streams the
-// result as
+// Binary fetch framing (frameV1). The newline-delimited JSON lane is
+// the protocol's request and control plane — requests are small — but
+// an accepted fetch result always comes back as a sequence of
+// length-prefixed little-endian binary frames:
 //
 //	header frame  (accepted, exec ms, column names, batch size, row count)
 //	batch frame   (<= batch-size rows as typed columns)  — repeated
 //	end frame     (terminal marker: rows sent, batch count, error)
 //
-// and every refusal, error, or old-version exchange stays a JSON reply,
-// so the frame path only ever carries the hot payload. The first byte
-// distinguishes the lanes: frames start with frameMagic (0xFA), which
-// can never open a JSON message ('{' is 0x7B), so readers peek one byte
-// and demux.
+// Every refusal, error, or supply race stays a JSON reply, so the frame
+// path only ever carries the hot payload. The first byte distinguishes
+// the lanes: frames start with frameMagic (0xFA), which can never open
+// a JSON message ('{' is 0x7B), so readers peek one byte and demux.
 //
 // Frame layout (all integers little-endian):
 //
@@ -55,10 +50,20 @@ const (
 	maxFramePayload = 1 << 26
 )
 
-// frameV1 is the newest frame version this build speaks. The request's
-// Frame field carries the client's newest supported version; zero (the
-// field omitted) means the client predates frames and gets JSON.
+// frameV1 is the frame format version every frame header carries;
+// readFrame refuses any other value.
 const frameV1 = 1
+
+// Per-row kind bytes of a batch frame's columns. They are the driver
+// block's own kind bytes, so a driver-produced block goes on the wire
+// without re-tagging.
+const (
+	kindByteNull  = driver.KindByteNull
+	kindByteInt   = driver.KindByteInt
+	kindByteFloat = driver.KindByteFloat
+	kindByteText  = driver.KindByteText
+	kindByteBool  = driver.KindByteBool
+)
 
 // errFrameDecode reports a malformed frame. The connection is
 // unrecoverable afterwards (the stream position is mid-frame), so
@@ -114,9 +119,9 @@ func appendFetchHeader(buf []byte, id uint64, columns []string, execMs float64, 
 }
 
 // appendFetchBatch appends one batch frame carrying res.Rows[lo:hi].
-// It is the row-input convenience over appendFetchBatchCols (tests and
-// the JSON downgrade use it); the streaming path hands the encoder a
-// driver block directly and never materializes rows.
+// It is the row-input convenience over appendFetchBatchCols for tests;
+// the streaming path hands the encoder a driver block directly and
+// never materializes rows.
 func appendFetchBatch(buf []byte, id uint64, res *sqldb.Result, lo, hi int) []byte {
 	var blk ColBlock
 	blk.FillFromRows(res.Columns, res.Rows[lo:hi])
@@ -124,8 +129,8 @@ func appendFetchBatch(buf []byte, id uint64, res *sqldb.Result, lo, hi int) []by
 }
 
 // appendFetchBatchCols appends one batch frame carrying blk's rows as
-// typed columns: per column, one kind byte per row (the encCompact
-// alphabet), then the non-null values of each type in row order — ints
+// typed columns: per column, one kind byte per row (kindByteNull and
+// friends), then the non-null values of each type in row order — ints
 // and floats as fixed 8-byte words, texts as a length table plus one
 // concatenated blob (so the client can decode all of a column's strings
 // with a single allocation), bools as packed bits. Because driver

@@ -75,7 +75,7 @@ type rpcResult struct {
 
 // pendingCall is one in-flight RPC awaiting demuxed results. A plain
 // call gets exactly one result; a streamed fetch (stream=true) gets a
-// sequence of frames ending at the terminal frame or a JSON downgrade.
+// sequence of frames ending at the terminal frame, or one JSON reply.
 type pendingCall struct {
 	ch     chan rpcResult
 	stream bool
@@ -177,7 +177,7 @@ func (mc *mconn) call(req *request, rep *reply, timeout time.Duration) error {
 }
 
 // stream performs one streamed-fetch RPC. The server answers either
-// with a plain JSON envelope (an old node, a refusal, or an error) —
+// with a plain JSON envelope (a refusal, a supply race, or an error) —
 // delivered into rep with jsonReply=true exactly like call — or with a
 // sequence of binary frames delivered to onFrame in arrival order.
 // onFrame returns done=true on the terminal frame; the timeout is a
@@ -238,7 +238,7 @@ func (mc *mconn) stream(req *request, rep *reply, timeout time.Duration, onFrame
 		case res.err != nil:
 			return false, res.err
 		case res.rep != nil:
-			// JSON downgrade: an old server, a refusal, or an error.
+			// A JSON reply: a refusal, a supply race, or an error.
 			*rep = *res.rep
 			return true, nil
 		default:

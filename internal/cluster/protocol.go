@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"github.com/qamarket/qamarket/internal/membership"
-	"github.com/qamarket/qamarket/internal/sqldb"
 	"github.com/qamarket/qamarket/internal/trace"
 )
 
@@ -44,26 +43,21 @@ type request struct {
 	SQL       string    `json:"sql,omitempty"`
 	QueryID   int64     `json:"query_id,omitempty"`
 	Mechanism Mechanism `json:"mechanism,omitempty"`
-	// Enc advertises the newest fetch-row encoding the client decodes
-	// (see encTagged/encCompact). Servers reply with min(Enc, newest they
-	// speak); old servers ignore the field and reply tagged, so mixed
-	// fleets interoperate during rollout.
-	Enc int `json:"enc,omitempty"`
 	// Gossip carries the sender's membership table on a "gossip" op
 	// (anti-entropy push-pull; the reply carries the receiver's table
-	// back). Versioned like Enc: the payload's V field lets future
-	// table formats coexist with old nodes.
+	// back). The payload's V field lets future table formats coexist
+	// with old nodes.
 	Gossip *gossipPayload `json:"gossip,omitempty"`
 	// Trace carries the client's trace context when the query is being
-	// traced. Additive and versioned like Enc and Gossip: old servers
-	// ignore the unknown field (the query still runs, untraced on that
-	// node), and old clients omit it, so mixed fleets interoperate.
+	// traced. Additive and versioned like Gossip: old servers ignore
+	// the unknown field (the query still runs, untraced on that node),
+	// and old clients omit it, so mixed fleets interoperate.
 	Trace *traceCtx `json:"trace,omitempty"`
 	// DeadlineMs is the query's remaining time budget in milliseconds
 	// when the request left the client. It is relative, not a wall-clock
 	// instant, so federations need no clock sync; the cost is that time
 	// on the wire is not charged. Zero means "no deadline". Additive
-	// like Enc and Trace: old servers ignore it (the query just isn't
+	// like Trace: old servers ignore it (the query just isn't
 	// shed server-side), old clients omit it, so mixed fleets
 	// interoperate.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
@@ -77,23 +71,12 @@ type request struct {
 	// call-for-proposals on a "negotiate" op: the request's own
 	// SQL/QueryID/DeadlineMs fields describe the first query exactly as
 	// an unbatched negotiate would, and Batch holds the rest of the
-	// coalesced window. Additive like Enc, Trace, and DeadlineMs: an
-	// old server ignores the unknown field and answers the first query
-	// alone (the client then renegotiates the remainder per query), and
-	// a single-query window omits the field entirely, making the
-	// request byte-identical to a legacy negotiate.
+	// coalesced window. A single-query window omits the field entirely,
+	// making the request byte-identical to an unbatched negotiate.
 	Batch []batchQuery `json:"batch,omitempty"`
-	// Frame advertises the newest binary fetch-frame version the client
-	// decodes (see frameV1). A frame-speaking server answers an accepted
-	// fetch by streaming length-prefixed binary frames instead of one
-	// JSON reply; everything else (refusals, errors, other ops) stays
-	// JSON. Additive like Enc: old servers ignore the field and reply
-	// JSON, old clients omit it and are never sent a frame, so mixed
-	// fleets interoperate byte-identically.
-	Frame int `json:"frame,omitempty"`
 	// FetchBatch asks the server to bound streamed fetch batches to this
 	// many rows. Servers clamp it to their own FetchBatchRows config;
-	// zero accepts the server default. Meaningless without Frame.
+	// zero accepts the server default.
 	FetchBatch int `json:"fetch_batch,omitempty"`
 }
 
@@ -139,7 +122,7 @@ type spansReply struct {
 // gossipV is the newest gossip payload version this build speaks. The
 // member rows are additive JSON, so a v1 node merges whatever fields it
 // understands from a newer payload — V exists to make that negotiation
-// explicit, exactly like the fetch-row Enc field.
+// explicit.
 const gossipV = 1
 
 // wireMember is one membership-table row on the wire.
@@ -218,18 +201,6 @@ func fromWireMembers(ws []wireMember) []membership.Member {
 	return out
 }
 
-// Fetch-row encodings, in negotiation order. The request's Enc field
-// carries the client's newest supported version.
-const (
-	// encTagged is the v0 per-cell encoding: every non-null value is a
-	// single-key {"kind": value} object (see toWire).
-	encTagged = 0
-	// encCompact is the v1 columnar encoding: one kind byte per row plus
-	// typed per-column arrays (see encodeCols), cutting decode work from
-	// O(rows×cols) map allocations to O(cols) slices.
-	encCompact = 1
-)
-
 // negotiateReply answers a call-for-proposals.
 type negotiateReply struct {
 	Feasible   bool    `json:"feasible"`        // node holds the data
@@ -251,25 +222,14 @@ type executeReply struct {
 }
 
 // fetchReply answers a fetch request: like execute, but the result
-// rows travel back to the client. Used by the distributed subquery
-// layer (Distributor) to pull relation fragments for local joining.
+// rows travel back to the client. An accepted result streams as binary
+// frames (see frame.go) and the client synthesizes this envelope from
+// the header; only refusals, errors and supply races ride it as JSON.
 type fetchReply struct {
 	Accepted bool     `json:"accepted"`
 	Columns  []string `json:"columns"`
-	Rows     [][]any  `json:"rows,omitempty"` // encTagged values, see toWire
-	// Cols is the encCompact representation: one entry per column, row
-	// count carried by each column's Kinds string. Exactly one of Rows
-	// and Cols is populated on a non-empty result; which one depends on
-	// the request's negotiated Enc.
-	Cols   []wireColumn `json:"cols,omitempty"`
-	ExecMs float64      `json:"exec_ms"`
-	Err    string       `json:"error,omitempty"`
-
-	// streamed marks an envelope the client synthesized from a binary
-	// frame stream: the rows never rode JSON, they were decoded into
-	// decoded as the frames arrived. Unexported — never marshalled.
-	streamed bool
-	decoded  []sqldb.Row
+	ExecMs   float64  `json:"exec_ms"`
+	Err      string   `json:"error,omitempty"`
 }
 
 // NodeStats reports a node's market state for observability.
@@ -310,11 +270,11 @@ const (
 	// is healthy, the query just can't make it here in time.
 	CodeExpired = "expired"
 	// CodeTooLarge marks a message refused for exceeding the wire size
-	// limit: an oversized request line, or a JSON fetch reply that only
-	// fits on the binary frame lane. The answering node is healthy and
-	// said so in a well-formed reply, so clients must NOT trip the
-	// breaker — but a retry of the same message cannot succeed either,
-	// so the error is terminal, not a resubmit.
+	// limit: an oversized request line, or a JSON reply too large to
+	// send. The answering node is healthy and said so in a well-formed
+	// reply, so clients must NOT trip the breaker — but a retry of the
+	// same message cannot succeed either, so the error is terminal, not
+	// a resubmit.
 	CodeTooLarge = "too_large"
 )
 
@@ -335,10 +295,10 @@ type reply struct {
 	// ID echoes the request's ID (zero for legacy ordered framing).
 	ID        uint64          `json:"id,omitempty"`
 	Negotiate *negotiateReply `json:"negotiate,omitempty"`
-	// Batch answers the request's Batch queries positionally. Only
-	// batch-aware servers populate it; its absence after a batched CFP
-	// tells the client the node is old and the remainder of the window
-	// must be negotiated per query.
+	// Batch answers the request's Batch queries positionally. It is
+	// absent when the whole batched CFP was refused at the envelope
+	// (draining, overload); every batched query then shares that
+	// refusal.
 	Batch   []batchProposal `json:"batch,omitempty"`
 	Execute *executeReply   `json:"execute,omitempty"`
 	Fetch   *fetchReply     `json:"fetch,omitempty"`

@@ -90,10 +90,10 @@ type NodeConfig struct {
 	// for at-most-once retransmits (keyed by the client's run id).
 	// Default 60s.
 	DedupWindow time.Duration
-	// FetchBatchRows bounds one binary fetch-stream batch: a frame-
-	// negotiated fetch result is shipped in frames of at most this many
-	// rows, so neither side ever buffers more than one batch of a huge
-	// result. Clients may request smaller batches (request.FetchBatch);
+	// FetchBatchRows bounds one binary fetch-stream batch: an accepted
+	// fetch result is shipped in frames of at most this many rows, so
+	// neither side ever buffers more than one batch of a huge result.
+	// Clients may request smaller batches (request.FetchBatch);
 	// larger asks are clamped here. Default 4096.
 	FetchBatchRows int
 	// NodeID is the node's stable identity in the membership registry,
@@ -210,11 +210,9 @@ type Node struct {
 	// dedup is the at-most-once window for execute/fetch retransmits.
 	dedup *dedupWindow
 
-	// noFrames (test hook) answers every fetch in JSON even when the
-	// client negotiated frames, simulating a pre-frame node; frameSever
-	// (test hook) severs the stream's connection after that many batch
-	// frames, for partial-stream resume tests. Both zero in production.
-	noFrames   atomic.Bool
+	// frameSever (test hook) severs the stream's connection after that
+	// many batch frames, for partial-stream resume tests. Zero in
+	// production.
 	frameSever atomic.Int32
 
 	execCh   chan *execJob
@@ -650,8 +648,8 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 			var err error
 			if rep.stream != nil {
-				// Frame-negotiated fetch: the result streams as binary
-				// frames, taking wmu per frame so other replies interleave.
+				// Accepted fetch: the result streams as binary frames,
+				// taking wmu per frame so other replies interleave.
 				err = n.streamFetch(conn, w, &wmu, req.ID, rep.stream)
 			} else {
 				wmu.Lock()
@@ -753,28 +751,12 @@ func (n *Node) handleWork(req *request, rep *reply) {
 	case "fetch":
 		fr, blk, code := n.fetch(req)
 		rep.Code = code
-		if code == "" && fr.Err == "" && fr.Accepted && req.Frame >= frameV1 && !n.noFrames.Load() {
-			// Frame-negotiated success: defer encoding to the stream
-			// writer. Refusals, errors, and old clients stay JSON.
+		if code == "" && fr.Err == "" && fr.Accepted {
+			// Accepted: defer encoding to the stream writer. Refusals,
+			// errors and supply races stay JSON.
 			n.health.Inc(metrics.FrameNegotiatedCounter(frameV1))
 			rep.stream = &frameStream{res: blk, execMs: fr.ExecMs, batch: n.fetchBatchRows(req)}
 			return
-		}
-		if blk != nil {
-			fr.Columns = blk.Columns
-			// The client advertised the newest encoding it decodes; ship
-			// compact columns to encCompact-aware clients and the legacy
-			// tagged rows to everyone older.
-			if req.Enc >= encCompact {
-				fr.Cols = encodeColsBlock(blk)
-			} else {
-				rows, rerr := encodeRowsBlock(blk)
-				if rerr != nil {
-					fr.Err = rerr.Error()
-				} else {
-					fr.Rows = rows
-				}
-			}
 		}
 		rep.Fetch = &fr
 	}
@@ -1008,9 +990,9 @@ func (n *Node) executeOnce(req *request) (executeReply, string) {
 // fetch is execute plus result shipping: the distributed subquery
 // layer pulls relation fragments through it. The raw result is
 // returned un-encoded (and cached un-encoded in the dedup window) so
-// the caller — handleWork — encodes per the *current* request's
-// negotiation: a retransmit from a differently-negotiated client, or a
-// frame-stream resume, re-encodes the identical rows its own way.
+// the caller — handleWork — streams it under the *current* request's
+// batch size: a retransmit or a frame-stream resume replays the
+// identical rows.
 func (n *Node) fetch(req *request) (fetchReply, *ColBlock, string) {
 	if req.RunID != "" {
 		key := dedupKey(req.RunID, "fetch", req.QueryID, req.SQL)

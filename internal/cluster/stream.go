@@ -10,13 +10,12 @@ import (
 
 	"github.com/qamarket/qamarket/internal/driver"
 	"github.com/qamarket/qamarket/internal/metrics"
-	"github.com/qamarket/qamarket/internal/sqldb"
 )
 
 // This file holds the two halves of a streamed fetch: the server's
-// frame writer (streamFetch, invoked by serveConn when the fetch
-// handler negotiated frames) and the client's frame consumer
-// (fetchStream, fed by mconn.stream or freshStream).
+// frame writer (streamFetch, invoked by serveConn for every accepted
+// fetch) and the client's frame consumer (fetchStream, fed by
+// mconn.stream or freshStream).
 //
 // Memory stays O(batch) on both sides by construction: the server
 // appends one batch into a pooled buffer and flushes it before
@@ -125,23 +124,15 @@ func (n *Node) streamFetch(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, id u
 
 // --- Client side ------------------------------------------------------
 
-// fetchSink receives a fetch result however it arrives: block gets
-// streamed batches as reusable ColBlocks (buffers overwritten between
-// calls — copy out anything retained), rows gets a JSON downgrade's
-// decoded result whole. Each caller wires both so old and new servers
-// feed the same consumer.
-type fetchSink struct {
-	block func(*ColBlock) error
-	rows  func(columns []string, rows []sqldb.Row) error
-}
-
 // fetchStream decodes one streamed fetch reply: header, then batch
-// frames delivered to the sink, then the terminal end frame. skip
-// drops that many leading rows before delivery — the resume path,
-// where a dedup replay re-streams the identical full result and the
-// client discards the prefix a previous attempt already delivered.
+// frames delivered to sink as one reusable ColBlock (its buffers are
+// overwritten between calls — the sink copies out anything it
+// retains), then the terminal end frame. skip drops that many leading
+// rows before delivery — the resume path, where a dedup replay
+// re-streams the identical full result and the client discards the
+// prefix a previous attempt already delivered.
 type fetchStream struct {
-	sink      fetchSink
+	sink      func(*ColBlock) error
 	skip      int64
 	header    frameHeader
 	gotHeader bool
@@ -188,7 +179,7 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 			return false, nil
 		}
 		fs.delivered += int64(fs.block.Rows)
-		if err := fs.sink.block(&fs.block); err != nil {
+		if err := fs.sink(&fs.block); err != nil {
 			return false, fmt.Errorf("%w: %v", errStreamAbort, err)
 		}
 		return false, nil
@@ -210,16 +201,15 @@ func (fs *fetchStream) onFrame(typ byte, payload []byte) (bool, error) {
 	return false, fmt.Errorf("%w: unexpected frame type %d", errFrameDecode, typ)
 }
 
-// envelope synthesizes the fetchReply a JSON exchange would have
-// produced, for the classification ladder above fetchAttempt. The rows
-// already went through the sink, so the envelope carries none.
+// envelope synthesizes the fetchReply for the classification ladder
+// above fetchAttempt. The rows already went through the sink, so the
+// envelope carries none.
 func (fs *fetchStream) envelope() *fetchReply {
 	return &fetchReply{
 		Accepted: fs.header.accepted,
 		Columns:  append([]string(nil), fs.header.columns...),
 		ExecMs:   fs.header.execMs,
 		Err:      fs.end.errMsg,
-		streamed: true,
 	}
 }
 

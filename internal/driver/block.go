@@ -8,9 +8,8 @@ import (
 )
 
 // Per-row kind bytes. These are the same bytes the cluster's binary
-// frame lane puts on the wire (and the JSON columnar encoding puts in
-// its kind strings), so a driver-produced block serializes without any
-// re-tagging.
+// frame lane puts on the wire, so a driver-produced block serializes
+// without any re-tagging.
 const (
 	KindByteNull  = 'n'
 	KindByteInt   = 'i'
@@ -206,9 +205,8 @@ func countKinds(kinds []byte) (ni, nf, ns, nb int) {
 }
 
 // FillFromRows loads already-materialized rows into the block, reusing
-// its buffers — the transposition bridge for row-producing sources (the
-// legacy driver, the cluster's JSON downgrade path). Cells beyond a
-// short row encode as NULL, matching the row wire encoding.
+// its buffers — the transposition bridge for row-producing sources such
+// as the legacy driver. Cells beyond a short row encode as NULL.
 func (b *Block) FillFromRows(columns []string, rows []sqldb.Row) {
 	b.Columns = append(b.Columns[:0], columns...)
 	b.Rows = len(rows)
