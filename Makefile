@@ -57,14 +57,16 @@ tracesmoke:
 chaossmoke:
 	$(GO) run -race ./cmd/chaossmoke
 
-# fuzzsmoke runs the frame-decoder fuzzer briefly on every CI run: the
-# binary lane's malformed-input promise ("error, never panic, never
-# unbounded allocation") plus the committed crasher corpus as
-# regression seeds. Five seconds finds shallow decoder regressions;
-# run `go test -fuzz FuzzFrameDecode ./internal/cluster` unbounded
-# when touching frame.go.
+# fuzzsmoke runs the two binary decoders' fuzzers briefly on every CI
+# run: the frame lane's and the gossip member-row codec's
+# malformed-input promise ("typed error, never panic, never unbounded
+# allocation") plus the committed crasher corpus as regression seeds.
+# Five seconds each finds shallow decoder regressions; run
+# `go test -fuzz FuzzFrameDecode ./internal/cluster` (or FuzzDecodeRows)
+# unbounded when touching frame.go or the row codec in protocol.go.
 fuzzsmoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzDecodeRows$$' -fuzztime 5s
 
 # execsmoke soaks the storage-driver seam: a federation whose nodes
 # front different executors (row, vector, mock) is checked for

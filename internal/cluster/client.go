@@ -1254,21 +1254,14 @@ func (c *Client) rpc(addr string, req *request, rep *reply, timeout time.Duratio
 	if ns := c.lookup(addr); ns != nil {
 		return c.rpcOn(ns, req, rep, timeout)
 	}
-	return freshRPCCounted(addr, req, rep, timeout, c.wire)
+	return freshRPC(addr, req, rep, timeout, c.wire)
 }
 
-// freshRPC is the v0 transport: dial, one exchange, hang up. A dial
-// failure is wrapped errNotSent: the request never reached the node,
-// which the failover ladder uses to fail over without double-execution
-// risk.
-func freshRPC(addr string, req *request, rep *reply, timeout time.Duration) error {
-	return freshRPCCounted(addr, req, rep, timeout, nil)
-}
-
-// freshRPCCounted is freshRPC with the connection's traffic tallied on
-// wc (nil disables accounting — server-side gossip exchanges are not a
-// client's wire cost).
-func freshRPCCounted(addr string, req *request, rep *reply, timeout time.Duration, wc *wireCounter) error {
+// freshRPC is the v0 transport: dial, one exchange, hang up, with the
+// connection's traffic tallied on wc. A dial failure is wrapped
+// errNotSent: the request never reached the node, which the failover
+// ladder uses to fail over without double-execution risk.
+func freshRPC(addr string, req *request, rep *reply, timeout time.Duration, wc *wireCounter) error {
 	conn, err := dial(addr, timeout)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errNotSent, err)
@@ -1307,7 +1300,7 @@ func (c *Client) rpcOn(ns *nodeState, req *request, rep *reply, timeout time.Dur
 			err = mc.call(req, rep, timeout)
 		}
 	} else {
-		err = freshRPCCounted(addr, req, rep, timeout, c.wire)
+		err = freshRPC(addr, req, rep, timeout, c.wire)
 	}
 	if err == nil {
 		ns.observe(req.Op, msSince(start))

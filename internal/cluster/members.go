@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/qamarket/qamarket/internal/catalog"
@@ -25,10 +26,11 @@ type MemberInfo struct {
 	// CatalogDigest is the member's advertised placement digest.
 	CatalogDigest string
 	// CatalogFilter is the member's advertised relation filter, hex
-	// encoded ("" when the member predates filters or hosts nothing).
+	// encoded ("" when the member advertised none: probe it for
+	// everything).
 	CatalogFilter string
 	// Driver is the member's advertised storage executor ("row",
-	// "vector", "mock:row"; "" on old nodes).
+	// "vector", "mock:row").
 	Driver string
 	// Breaker is the client-side circuit state for the member
 	// (closed, open, half-open).
@@ -73,15 +75,17 @@ func (c *Client) RefreshView() error {
 			lastErr = err
 			continue
 		}
-		if rep.Members == nil {
-			if rep.Err != "" {
-				lastErr = errors.New(rep.Err)
-			} else {
-				lastErr = errors.New("cluster: malformed members reply")
-			}
+		if rep.Err != "" {
+			lastErr = errors.New(rep.Err)
 			continue
 		}
-		c.applyMembers(rep.Members)
+		rows, err := decodeRows(rep.Rows)
+		if err != nil || len(rows) == 0 {
+			// A node's table always holds the node itself.
+			lastErr = fmt.Errorf("cluster: malformed members reply: %v", err)
+			continue
+		}
+		c.applyMembers(rows)
 		return nil
 	}
 	if lastErr == nil {
@@ -108,8 +112,8 @@ func (c *Client) refreshLoop() {
 }
 
 // applyMembers folds one node's merged table into the client view.
-func (c *Client) applyMembers(mr *membersReply) {
-	members := fromWireMembers(mr.Members)
+// Stripped rows carry no address and are skipped.
+func (c *Client) applyMembers(rows []membership.Row) {
 	c.viewMu.Lock()
 	defer c.viewMu.Unlock()
 	// Index resolved IDs and provisional (seed-address) entries so a
@@ -122,8 +126,9 @@ func (c *Client) applyMembers(mr *membersReply) {
 		}
 		ns.mu.Unlock()
 	}
-	for _, m := range members {
-		if m.ID == "" {
+	for _, row := range rows {
+		m := row.Member
+		if row.Stripped {
 			continue
 		}
 		if !m.State.Live() {

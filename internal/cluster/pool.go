@@ -40,8 +40,8 @@ var (
 	errPoolClosed = errors.New("cluster: client transport closed")
 )
 
-// wireCounter tallies bytes crossing a set of connections, for the
-// per-encoding bytes_per_query accounting in qaload reports.
+// wireCounter tallies bytes crossing a set of connections: a client's
+// wire cost in qaload reports, and a node's gossip byte counters.
 type wireCounter struct {
 	in  atomic.Int64
 	out atomic.Int64

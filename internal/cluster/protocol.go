@@ -13,10 +13,12 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"github.com/qamarket/qamarket/internal/membership"
@@ -43,13 +45,15 @@ type request struct {
 	SQL       string    `json:"sql,omitempty"`
 	QueryID   int64     `json:"query_id,omitempty"`
 	Mechanism Mechanism `json:"mechanism,omitempty"`
-	// Gossip carries the sender's membership table on a "gossip" op
-	// (anti-entropy push-pull; the reply carries the receiver's table
-	// back). The payload's V field lets future table formats coexist
-	// with old nodes.
-	Gossip *gossipPayload `json:"gossip,omitempty"`
+	// Rows carries member rows in the compact row codec (appendRows):
+	// a "gossip" op's digest, or the full rows a want asked for when
+	// Push is set.
+	Rows []byte `json:"rows,omitempty"`
+	// Push marks a gossip want follow-up: the receiver merges Rows and
+	// answers nothing.
+	Push bool `json:"push,omitempty"`
 	// Trace carries the client's trace context when the query is being
-	// traced. Additive and versioned like Gossip: old servers ignore
+	// traced. Additive and versioned: old servers ignore
 	// the unknown field (the query still runs, untraced on that node),
 	// and old clients omit it, so mixed fleets interoperate.
 	Trace *traceCtx `json:"trace,omitempty"`
@@ -119,86 +123,168 @@ type spansReply struct {
 	Spans  []trace.Span `json:"spans"`
 }
 
-// gossipV is the newest gossip payload version this build speaks. The
-// member rows are additive JSON, so a v1 node merges whatever fields it
-// understands from a newer payload — V exists to make that negotiation
-// explicit.
-const gossipV = 1
+// Member rows travel in one compact binary codec, carried as a []byte
+// field (one base64 string in the JSON envelope): a uvarint row count,
+// then per row the ID (uvarint length and bytes), the incarnation,
+// heartbeat and epoch as uvarints, a state byte and a flags byte. A full
+// row (flag rowFull) goes on with its address, catalog digest, catalog
+// filter and driver, each a uvarint length and bytes; a stripped row
+// ends after the flags.
+const rowFull byte = 1
 
-// wireMember is one membership-table row on the wire.
-type wireMember struct {
-	ID          string `json:"id"`
-	Addr        string `json:"addr"`
-	Incarnation uint64 `json:"inc"`
-	Heartbeat   uint64 `json:"hb"`
-	State       string `json:"state"`
-	// Catalog is the compact catalog digest: a hash over the sorted
-	// relation names the node hosts, so peers detect placement changes
-	// without shipping schemas.
-	Catalog string `json:"catalog,omitempty"`
-	// CatalogFilter is the hex-encoded relation-name Bloom filter
-	// behind the digest (catalog.RelationFilter): clients use it to
-	// skip CFP fan-out to nodes provably infeasible for a query's
-	// relations. Additive like Catalog — old rows omit it and stay
-	// fully probed.
-	CatalogFilter string `json:"cf,omitempty"`
-	// Driver names the member's storage executor ("row", "vector",
-	// "mock:row"). Additive: old rows omit it.
-	Driver string `json:"drv,omitempty"`
-	// Epoch is the member's market age in pricer periods.
-	Epoch uint64 `json:"epoch,omitempty"`
+// minRowBytes is the smallest encoded row: a one-byte ID with its
+// length, three one-byte uvarints, the state and the flags.
+const minRowBytes = 7
+
+// errBadRows reports a malformed row payload.
+var errBadRows = errors.New("cluster: malformed member rows")
+
+// appendRows encodes rows onto dst.
+func appendRows(dst []byte, rows []membership.Row) []byte {
+	size := binary.MaxVarintLen64
+	for _, r := range rows {
+		size += 4*binary.MaxVarintLen64 + 2 + len(r.ID)
+		if !r.Stripped {
+			size += 4*binary.MaxVarintLen64 + len(r.Addr) + len(r.CatalogDigest) + len(r.CatalogFilter) + len(r.Driver)
+		}
+	}
+	dst = slices.Grow(dst, size)
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	for _, r := range rows {
+		dst = appendRowString(dst, r.ID)
+		dst = binary.AppendUvarint(dst, r.Incarnation)
+		dst = binary.AppendUvarint(dst, r.Heartbeat)
+		dst = binary.AppendUvarint(dst, r.Epoch)
+		dst = append(dst, byte(r.State))
+		if r.Stripped {
+			dst = append(dst, 0)
+			continue
+		}
+		dst = append(dst, rowFull)
+		dst = appendRowString(dst, r.Addr)
+		dst = appendRowString(dst, r.CatalogDigest)
+		dst = appendRowString(dst, r.CatalogFilter)
+		dst = appendRowString(dst, r.Driver)
+	}
+	return dst
 }
 
-// gossipPayload rides both directions of a push-pull gossip exchange.
-type gossipPayload struct {
-	V       int          `json:"v"`
-	From    string       `json:"from"`
-	Members []wireMember `json:"members"`
+func appendRowString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
-// membersReply answers the "members" op with the node's merged view,
-// for clients refreshing their live view and for qactl -members.
-type membersReply struct {
-	Self    string       `json:"self"`
-	Members []wireMember `json:"members"`
-}
-
-// toWireMembers converts a registry snapshot for the wire.
-func toWireMembers(ms []membership.Member) []wireMember {
-	out := make([]wireMember, len(ms))
+// fullRows wraps a table snapshot as full rows.
+func fullRows(ms []membership.Member) []membership.Row {
+	rows := make([]membership.Row, len(ms))
 	for i, m := range ms {
-		out[i] = wireMember{
-			ID:            m.ID,
-			Addr:          m.Addr,
-			Incarnation:   m.Incarnation,
-			Heartbeat:     m.Heartbeat,
-			State:         m.State.String(),
-			Catalog:       m.CatalogDigest,
-			CatalogFilter: m.CatalogFilter,
-			Driver:        m.Driver,
-			Epoch:         m.Epoch,
-		}
+		rows[i] = membership.Row{Member: m}
 	}
-	return out
+	return rows
 }
 
-// fromWireMembers parses wire rows back into registry members.
-func fromWireMembers(ws []wireMember) []membership.Member {
-	out := make([]membership.Member, len(ws))
-	for i, w := range ws {
-		out[i] = membership.Member{
-			ID:            w.ID,
-			Addr:          w.Addr,
-			Incarnation:   w.Incarnation,
-			Heartbeat:     w.Heartbeat,
-			State:         membership.ParseState(w.State),
-			CatalogDigest: w.Catalog,
-			CatalogFilter: w.CatalogFilter,
-			Driver:        w.Driver,
-			Epoch:         w.Epoch,
+// rowReader decodes one row payload; the first error sticks. The
+// payload is also copied into one string up front, so every decoded
+// string is a substring of it instead of an allocation of its own.
+type rowReader struct {
+	b   []byte
+	s   string // string(b)
+	off int
+	err error
+}
+
+func (rr *rowReader) fail(what string) {
+	if rr.err == nil {
+		rr.err = fmt.Errorf("%w: %s", errBadRows, what)
+	}
+}
+
+func (rr *rowReader) uvarint(what string) uint64 {
+	if rr.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(rr.b[rr.off:])
+	if n <= 0 {
+		rr.fail("bad " + what)
+		return 0
+	}
+	rr.off += n
+	return v
+}
+
+func (rr *rowReader) byte(what string) byte {
+	if rr.err != nil {
+		return 0
+	}
+	if rr.off == len(rr.b) {
+		rr.fail("truncated " + what)
+		return 0
+	}
+	rr.off++
+	return rr.b[rr.off-1]
+}
+
+func (rr *rowReader) string(what string) string {
+	n := rr.uvarint(what)
+	if rr.err != nil {
+		return ""
+	}
+	if n > uint64(len(rr.b)-rr.off) {
+		rr.fail("truncated " + what)
+		return ""
+	}
+	s := rr.s[rr.off : rr.off+int(n)]
+	rr.off += int(n)
+	return s
+}
+
+// decodeRows inverts appendRows. Malformed input — truncation, trailing
+// bytes, an empty ID, unknown flags — returns an error wrapping
+// errBadRows and no rows. An unknown state byte decodes as dead, like
+// membership.ParseState, so a newer peer's state at least takes the
+// member out of the live view.
+func decodeRows(b []byte) ([]membership.Row, error) {
+	rr := rowReader{b: b, s: string(b)}
+	n := rr.uvarint("row count")
+	if rr.err == nil && n > uint64((len(b)-rr.off)/minRowBytes) {
+		rr.fail(fmt.Sprintf("%d rows in %d bytes", n, len(b)-rr.off))
+	}
+	if rr.err != nil {
+		return nil, rr.err
+	}
+	rows := make([]membership.Row, n)
+	for i := range rows {
+		r := &rows[i]
+		r.ID = rr.string("id")
+		if rr.err == nil && r.ID == "" {
+			rr.fail("empty id")
+		}
+		r.Incarnation = rr.uvarint("incarnation")
+		r.Heartbeat = rr.uvarint("heartbeat")
+		r.Epoch = rr.uvarint("epoch")
+		r.State = membership.State(rr.byte("state"))
+		if r.State > membership.StateLeft {
+			r.State = membership.StateDead
+		}
+		switch rr.byte("flags") {
+		case 0:
+			r.Stripped = true
+		case rowFull:
+			r.Addr = rr.string("addr")
+			r.CatalogDigest = rr.string("catalog digest")
+			r.CatalogFilter = rr.string("catalog filter")
+			r.Driver = rr.string("driver")
+		default:
+			rr.fail("unknown flags")
+		}
+		if rr.err != nil {
+			return nil, rr.err
 		}
 	}
-	return out
+	if rr.off != len(b) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errBadRows, len(b)-rr.off)
+	}
+	return rows, nil
 }
 
 // negotiateReply answers a call-for-proposals.
@@ -303,11 +389,15 @@ type reply struct {
 	Execute *executeReply   `json:"execute,omitempty"`
 	Fetch   *fetchReply     `json:"fetch,omitempty"`
 	Stats   *NodeStats      `json:"stats,omitempty"`
-	Gossip  *gossipPayload  `json:"gossip,omitempty"`
-	Members *membersReply   `json:"members,omitempty"`
-	Spans   *spansReply     `json:"spans,omitempty"`
-	Err     string          `json:"error,omitempty"`
-	Code    string          `json:"code,omitempty"`
+	// Rows carries member rows in the row codec: a "gossip" reply's
+	// delta, or a "members" reply's full table.
+	Rows []byte `json:"rows,omitempty"`
+	// Want names the gossip digest's stripped rows the node could not
+	// place; the initiator pushes them in full.
+	Want  []string    `json:"want,omitempty"`
+	Spans *spansReply `json:"spans,omitempty"`
+	Err   string      `json:"error,omitempty"`
+	Code  string      `json:"code,omitempty"`
 	// NodeID stamps every reply with the answering node's stable
 	// identity, so clients learn seed addresses' IDs passively from
 	// their first exchange (old nodes omit it and stay addressed by

@@ -202,6 +202,12 @@ type Node struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // live client connections, severed on hard stop
 
+	// lanes holds one persistent gossip connection per peer address,
+	// closed when the peer leaves the live view and on shutdown; nil
+	// once the node stops.
+	lanesMu sync.Mutex
+	lanes   map[string]*peerLane
+
 	draining       atomic.Bool  // drain started: refuse new work, finish in-flight
 	inflight       atomic.Int64 // requests being handled (drain waits on this)
 	working        atomic.Int64 // work ops admitted (bounded by MaxInflight)
@@ -258,6 +264,7 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 		opHist:  make(map[string]*metrics.Histogram),
 		history: make(map[string]float64),
 		conns:   make(map[net.Conn]struct{}),
+		lanes:   make(map[string]*peerLane),
 		dedup:   newDedupWindow(cfg.DedupWindow),
 		execCh:  make(chan *execJob, cfg.MaxQueue),
 		stopCh:  make(chan struct{}),
@@ -344,8 +351,9 @@ func (n *Node) ID() string { return n.cfg.NodeID }
 func (n *Node) Members() []membership.Member { return n.reg.Members() }
 
 // gossipLoop drives the anti-entropy rounds: announce to the join
-// seeds, then every period tick the failure detector and push-pull the
-// member table with a few random live peers.
+// seeds, then every period tick the failure detector, close the lanes
+// of peers that left the live view, and exchange with a few random live
+// peers.
 func (n *Node) gossipLoop() {
 	defer n.wg.Done()
 	for _, seed := range n.cfg.Seeds {
@@ -363,7 +371,9 @@ func (n *Node) gossipLoop() {
 			if sum.Evicted > 0 {
 				n.health.Add(metrics.MembershipEvictionsTotal, int64(sum.Evicted))
 			}
-			n.health.SetGauge(metrics.MembersLive, float64(len(n.reg.Live())))
+			live := n.reg.Live()
+			n.health.SetGauge(metrics.MembersLive, float64(len(live)))
+			n.pruneLanes(live)
 			for _, m := range n.reg.Targets() {
 				go n.gossipWith(m.Addr)
 			}
@@ -373,51 +383,119 @@ func (n *Node) gossipLoop() {
 	}
 }
 
-// gossipWith runs one push-pull exchange: send our table, merge the
-// peer's. Exchanges ride fresh connections — gossip is rare and tiny,
-// and must not compete with query traffic for pooled lanes.
-func (n *Node) gossipWith(addr string) {
-	req := &request{Op: "gossip", Gossip: &gossipPayload{
-		V:       gossipV,
-		From:    n.cfg.NodeID,
-		Members: toWireMembers(n.reg.Members()),
-	}}
-	timeout := 2 * time.Duration(n.cfg.GossipPeriodMs) * time.Millisecond
-	if timeout < 200*time.Millisecond {
-		timeout = 200 * time.Millisecond
+// peerLane is the node's persistent gossip connection to one peer: a
+// one-slot pool of the multiplexed transport clients use, its byte
+// tally, and the exchange's memory of what it delivered there.
+type peerLane struct {
+	pool *pool
+	wire wireCounter
+	sent membership.Lane
+}
+
+// lane returns the peer's lane, creating it on first use; nil once the
+// node has stopped.
+func (n *Node) lane(addr string) *peerLane {
+	n.lanesMu.Lock()
+	defer n.lanesMu.Unlock()
+	if n.lanes == nil {
+		return nil
 	}
-	var rep reply
-	if err := freshRPC(addr, req, &rep, timeout); err != nil {
-		n.health.Inc(metrics.GossipFailuresTotal)
-		return
+	l := n.lanes[addr]
+	if l == nil {
+		l = &peerLane{}
+		l.pool = newPool(addr, 1, &l.wire)
+		n.lanes[addr] = l
 	}
-	if rep.Gossip != nil {
-		n.reg.Merge(fromWireMembers(rep.Gossip.Members))
+	return l
+}
+
+// pruneLanes closes the lanes of peers no longer in the live view: dead,
+// left, forgotten, or moved to a new address.
+func (n *Node) pruneLanes(live []membership.Member) {
+	keep := make(map[string]bool, len(live))
+	for _, m := range live {
+		keep[m.Addr] = true
+	}
+	n.lanesMu.Lock()
+	defer n.lanesMu.Unlock()
+	for addr, l := range n.lanes {
+		if !keep[addr] {
+			l.pool.closeAll()
+			delete(n.lanes, addr)
+		}
 	}
 }
 
-// broadcastLeave tombstones the local member and pushes the goodbye to
-// every live peer, so departing supply is pruned from the market ahead
-// of the failure detector. Best effort with a short timeout: a peer
-// that misses it still converges through regular gossip.
+// closeLanes closes every lane and refuses new ones.
+func (n *Node) closeLanes() {
+	n.lanesMu.Lock()
+	defer n.lanesMu.Unlock()
+	for _, l := range n.lanes {
+		l.pool.closeAll()
+	}
+	n.lanes = nil
+}
+
+// gossipWith runs one delta exchange with the peer at addr over its
+// lane: send our digest, merge the peer's delta, and push in full any
+// rows the peer wants.
+func (n *Node) gossipWith(addr string) {
+	n.exchange(addr, 2*time.Duration(n.cfg.GossipPeriodMs)*time.Millisecond)
+}
+
+// exchange runs one membership.Exchange over the peer's lane and
+// records it in the gossip counters.
+func (n *Node) exchange(addr string, timeout time.Duration) {
+	l := n.lane(addr)
+	if l == nil {
+		return
+	}
+	if timeout < 200*time.Millisecond {
+		timeout = 200 * time.Millisecond
+	}
+	err := n.reg.Exchange(&l.sent, func(mreq membership.Request) (membership.Reply, error) {
+		if mreq.Push {
+			n.health.Inc(metrics.GossipWantsTotal)
+		}
+		mc, err := l.pool.get(timeout)
+		if err != nil {
+			return membership.Reply{}, err
+		}
+		req := &request{Op: "gossip", Rows: appendRows(nil, mreq.Rows), Push: mreq.Push}
+		var rep reply
+		if err := mc.call(req, &rep, timeout); err != nil {
+			return membership.Reply{}, err
+		}
+		if rep.Err != "" {
+			return membership.Reply{}, errors.New(rep.Err)
+		}
+		rows, err := decodeRows(rep.Rows)
+		return membership.Reply{Rows: rows, Want: rep.Want}, err
+	})
+	n.health.Add(metrics.GossipBytesSentTotal, l.wire.out.Swap(0))
+	n.health.Add(metrics.GossipBytesReceivedTotal, l.wire.in.Swap(0))
+	if err != nil {
+		n.health.Inc(metrics.GossipFailuresTotal)
+		return
+	}
+	n.health.Inc(metrics.GossipExchangesTotal)
+}
+
+// broadcastLeave tombstones the local member and exchanges the goodbye
+// with every live peer, so departing supply is pruned from the market
+// ahead of the failure detector. Best effort with a short timeout: a
+// peer that misses it still converges through regular gossip.
 func (n *Node) broadcastLeave() {
 	n.reg.Leave()
-	peers := n.reg.Live()
-	req := &request{Op: "gossip", Gossip: &gossipPayload{
-		V:       gossipV,
-		From:    n.cfg.NodeID,
-		Members: toWireMembers(n.reg.Members()),
-	}}
 	var wg sync.WaitGroup
-	for _, m := range peers {
+	for _, m := range n.reg.Live() {
 		if m.ID == n.cfg.NodeID {
 			continue
 		}
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			var rep reply
-			_ = freshRPC(addr, req, &rep, 250*time.Millisecond)
+			n.exchange(addr, 250*time.Millisecond)
 		}(m.Addr)
 	}
 	wg.Wait()
@@ -458,6 +536,7 @@ func (n *Node) shutdown(drainFor time.Duration) error {
 		err = n.ln.Close()
 		close(n.stopCh)
 		n.closeConns()
+		n.closeLanes()
 		n.wg.Wait()
 	})
 	return err
@@ -475,10 +554,21 @@ func (n *Node) waitIdle(budget time.Duration) bool {
 	return n.inflight.Load() == 0
 }
 
-func (n *Node) trackConn(c net.Conn) {
+// trackConn registers a served connection for closeConns, or reports
+// false once the node is stopping. The check runs under connMu against
+// stopCh: a connection accepted just before a hard stop must not be
+// registered after closeConns ran, or nothing would close it and
+// shutdown would wait on its serveConn forever.
+func (n *Node) trackConn(c net.Conn) bool {
 	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	select {
+	case <-n.stopCh:
+		return false
+	default:
+	}
 	n.conns[c] = struct{}{}
-	n.connMu.Unlock()
+	return true
 }
 
 func (n *Node) untrackConn(c net.Conn) {
@@ -497,8 +587,9 @@ func (n *Node) closeConns() {
 	n.connMu.Unlock()
 }
 
-// OpenConns reports how many client connections the node currently
-// tracks. Tests use it to assert pooled transports do not leak.
+// OpenConns reports how many connections the node currently serves:
+// clients' pooled transports and peers' gossip lanes. Tests use it to
+// assert neither leaks.
 func (n *Node) OpenConns() int {
 	n.connMu.Lock()
 	defer n.connMu.Unlock()
@@ -612,7 +703,10 @@ func (n *Node) acceptLoop() {
 // refused market participant should learn the node is saturated, not
 // wait blind on a stalled TCP window.
 func (n *Node) serveConn(conn net.Conn) {
-	n.trackConn(conn)
+	if !n.trackConn(conn) {
+		conn.Close()
+		return
+	}
 	defer n.untrackConn(conn)
 	var handlers sync.WaitGroup
 	defer conn.Close()
@@ -690,9 +784,9 @@ func (n *Node) handle(req *request) *reply {
 			sr := n.nodeStats()
 			rep.Stats = &sr
 		case "gossip":
-			rep.Gossip = n.handleGossip(req)
+			n.handleGossip(req, &rep)
 		case "members":
-			rep.Members = n.handleMembers()
+			rep.Rows = appendRows(nil, fullRows(n.reg.Members()))
 		case "spans":
 			rep.Spans = n.handleSpans(req)
 		default:
@@ -772,22 +866,18 @@ func (n *Node) fetchBatchRows(req *request) int {
 	return b
 }
 
-// handleGossip is the receiving half of a push-pull exchange: merge
-// the sender's table, answer with ours.
-func (n *Node) handleGossip(req *request) *gossipPayload {
-	if req.Gossip != nil {
-		n.reg.Merge(fromWireMembers(req.Gossip.Members))
+// handleGossip is the responding half of a delta exchange: merge the
+// initiator's rows, answer a digest with the rows it is missing and the
+// stripped rows we could not place.
+func (n *Node) handleGossip(req *request, rep *reply) {
+	rows, err := decodeRows(req.Rows)
+	if err != nil {
+		rep.Err = err.Error()
+		return
 	}
-	return &gossipPayload{
-		V:       gossipV,
-		From:    n.cfg.NodeID,
-		Members: toWireMembers(n.reg.Members()),
-	}
-}
-
-// handleMembers serves the node's merged membership view.
-func (n *Node) handleMembers() *membersReply {
-	return &membersReply{Self: n.cfg.NodeID, Members: toWireMembers(n.reg.Members())}
+	ans := n.reg.Answer(membership.Request{Rows: rows, Push: req.Push})
+	rep.Rows = appendRows(nil, ans.Rows)
+	rep.Want = ans.Want
 }
 
 // handleSpans serves the node's retained spans for one trace (or the

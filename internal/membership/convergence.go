@@ -18,12 +18,13 @@ type Convergence struct {
 	EvictRounds int
 }
 
-// SimulateConvergence meshes n in-memory registries through direct
-// Merge calls (no network), joins an (n+1)th member knowing only the
-// first node, and then crashes one member — measuring the rounds until
-// every view agrees on each change. It is the membership-convergence
-// benchmark behind BENCH_qamarket.json and is fully deterministic for
-// a given (n, seed).
+// SimulateConvergence meshes n in-memory registries through the same
+// delta Exchange a node runs over the network (here a direct call to the
+// peer's Answer), joins an (n+1)th member knowing only the first node,
+// and then crashes one member — measuring the rounds until every view
+// agrees on each change. It is the membership-convergence benchmark
+// behind BENCH_qamarket.json and is fully deterministic for a given
+// (n, seed).
 func SimulateConvergence(n int, seed int64) (Convergence, error) {
 	if n < 2 {
 		return Convergence{}, fmt.Errorf("membership: SimulateConvergence needs >= 2 nodes, got %d", n)
@@ -42,19 +43,31 @@ func SimulateConvergence(n int, seed int64) (Convergence, error) {
 		}
 		regs = append(regs, r)
 	}
+	// lanes[[2]int{i, j}] is i's lane to j, kept across rounds as a
+	// node keeps its connection.
+	lanes := make(map[[2]int]*Lane)
+	exchange := func(i, j int) {
+		l := lanes[[2]int{i, j}]
+		if l == nil {
+			l = new(Lane)
+			lanes[[2]int{i, j}] = l
+		}
+		// A direct call cannot fail.
+		_ = regs[i].Exchange(l, func(req Request) (Reply, error) { return regs[j].Answer(req), nil })
+	}
 	// Everyone starts knowing everyone: the steady-state federation.
-	for _, a := range regs {
-		for _, b := range regs {
-			if a != b {
-				a.Merge(b.Members())
+	for i := range regs {
+		for j := range regs {
+			if i != j {
+				exchange(i, j)
 			}
 		}
 	}
 	dead := map[int]bool{}
 	// round runs one synchronous gossip round: every live registry
-	// ticks, then push-pulls its table with its fanout targets. A dead
-	// index neither ticks nor answers, so knowledge about it freezes
-	// and the failure detector takes over.
+	// ticks, then exchanges with its fanout targets. A dead index
+	// neither ticks nor answers, so knowledge about it freezes and the
+	// failure detector takes over.
 	round := func() {
 		for i, r := range regs {
 			if dead[i] {
@@ -71,8 +84,7 @@ func SimulateConvergence(n int, seed int64) (Convergence, error) {
 				if j < 0 || dead[j] {
 					continue
 				}
-				regs[j].Merge(r.Members())
-				r.Merge(regs[j].Members())
+				exchange(i, j)
 			}
 		}
 	}
@@ -91,9 +103,8 @@ func SimulateConvergence(n int, seed int64) (Convergence, error) {
 	if err != nil {
 		return Convergence{}, err
 	}
-	joiner.Merge(regs[0].Members())
-	regs[0].Merge(joiner.Members())
 	regs = append(regs, joiner)
+	exchange(n, 0)
 	joinID := joiner.Self().ID
 	joinRounds := -1
 	for rd := 1; rd <= maxRounds; rd++ {

@@ -97,13 +97,13 @@ type Member struct {
 	// CatalogFilter is the hex-encoded relation-name Bloom filter
 	// (catalog.RelationFilter) behind the digest: enough placement
 	// detail for clients to test per-class feasibility without
-	// shipping schemas. Empty on old nodes; consumers must then treat
-	// the member as feasible for everything.
+	// shipping schemas. When it is empty, consumers must treat the
+	// member as feasible for everything.
 	CatalogFilter string
 	// Driver names the storage executor behind the node's market
 	// offers ("row", "vector", "mock:row", ...). Advertised so
 	// operators can see a mixed row/vectorized federation in member
-	// listings; empty on old nodes.
+	// listings.
 	Driver string
 	// Epoch is the member's market age in pricer periods — how long
 	// its QA-NT agent has been adjusting prices.
@@ -141,6 +141,9 @@ type entry struct {
 	stalled int
 	// buried counts rounds the row has spent dead or left.
 	buried int
+	// seen is the Registry.stamp of the last digest that named the
+	// member (see newer).
+	seen uint64
 }
 
 // Registry is one node's membership table. All methods are safe for
@@ -157,6 +160,7 @@ type Registry struct {
 	left           bool
 	version        uint64
 	changed        chan struct{}
+	stamp          uint64 // counts digests answered
 }
 
 // TickSummary reports what one failure-detector round changed.
@@ -367,23 +371,7 @@ func (r *Registry) Merge(remote []Member) bool {
 	defer r.mu.Unlock()
 	changed := false
 	for _, rm := range remote {
-		if rm.ID == "" {
-			continue
-		}
-		if rm.ID == r.self {
-			if r.mergeSelf(rm) {
-				changed = true
-			}
-			continue
-		}
-		e, ok := r.members[rm.ID]
-		if !ok {
-			cp := rm
-			r.members[rm.ID] = &entry{m: cp}
-			changed = true
-			continue
-		}
-		if mergeEntry(e, rm) {
+		if c, _ := r.mergeRow(Row{Member: rm}); c {
 			changed = true
 		}
 	}
@@ -391,6 +379,49 @@ func (r *Registry) Merge(remote []Member) bool {
 		r.bump()
 	}
 	return changed
+}
+
+// mergeRows folds gossiped rows in, bumping the version once if any
+// changed, and lists the stripped rows it could not place. Callers hold
+// r.mu.
+func (r *Registry) mergeRows(rows []Row) (want []string) {
+	changed := false
+	for _, rm := range rows {
+		c, placed := r.mergeRow(rm)
+		if c {
+			changed = true
+		}
+		if !placed {
+			want = append(want, rm.ID)
+		}
+	}
+	if changed {
+		r.bump()
+	}
+	return want
+}
+
+// mergeRow folds one row in. placed is false for a stripped row that
+// names a member we lack or a newer incarnation than ours: without its
+// incarnation-fixed fields it cannot be merged, and the sender must
+// resend it in full. Rows without an ID are ignored. Callers hold r.mu.
+func (r *Registry) mergeRow(rm Row) (changed, placed bool) {
+	if rm.ID == "" {
+		return false, true
+	}
+	if rm.ID == r.self {
+		// Self claims need only the incarnation and state.
+		return r.mergeSelf(rm.Member), true
+	}
+	e, ok := r.members[rm.ID]
+	if rm.Stripped && (!ok || rm.Incarnation > e.m.Incarnation) {
+		return false, false
+	}
+	if !ok {
+		r.members[rm.ID] = &entry{m: rm.Member}
+		return true, true
+	}
+	return mergeEntry(e, rm.Member), true
 }
 
 // mergeSelf handles remote claims about the local member. Callers hold
@@ -418,7 +449,10 @@ func (r *Registry) mergeSelf(rm Member) bool {
 	return false
 }
 
-// mergeEntry folds one remote row into a local entry.
+// mergeEntry folds one remote row into a local entry. A member's
+// address, catalog digest, filter and driver are fixed for an
+// incarnation: only a higher incarnation replaces them, so a stripped
+// row (which omits them) merges exactly like the full row it stands for.
 func mergeEntry(e *entry, rm Member) bool {
 	switch {
 	case rm.Incarnation > e.m.Incarnation:
@@ -432,10 +466,6 @@ func mergeEntry(e *entry, rm Member) bool {
 	changed := false
 	if rm.Heartbeat > e.m.Heartbeat {
 		e.m.Heartbeat = rm.Heartbeat
-		e.m.Addr = rm.Addr
-		e.m.CatalogDigest = rm.CatalogDigest
-		e.m.CatalogFilter = rm.CatalogFilter
-		e.m.Driver = rm.Driver
 		if rm.Epoch > e.m.Epoch {
 			e.m.Epoch = rm.Epoch
 		}

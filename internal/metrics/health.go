@@ -36,6 +36,16 @@ const (
 	// GossipFailuresTotal counts gossip exchanges that failed at the
 	// transport (peer unreachable or timed out).
 	GossipFailuresTotal = "gossip_failures_total"
+	// GossipExchangesTotal counts gossip exchanges this node initiated
+	// that completed, want follow-up included.
+	GossipExchangesTotal = "gossip_exchanges_total"
+	// GossipWantsTotal counts want follow-ups: pushes of full rows a
+	// peer could not place from this node's stripped digest.
+	GossipWantsTotal = "gossip_want_followups_total"
+	// GossipBytesSentTotal and GossipBytesReceivedTotal count the wire
+	// bytes of the exchanges this node initiated, envelopes included.
+	GossipBytesSentTotal     = "gossip_bytes_sent_total"
+	GossipBytesReceivedTotal = "gossip_bytes_received_total"
 	// MembershipEvictionsTotal counts members the local failure
 	// detector moved suspect -> dead.
 	MembershipEvictionsTotal = "membership_evictions_total"
